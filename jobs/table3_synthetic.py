@@ -13,16 +13,8 @@ Figures 5–24; figures themselves are out of scope).
 from __future__ import annotations
 
 import argparse
-import sys
 
-from pyspark.sql import SparkSession
-
-sys.path.insert(0, "src")
-
-from repro.dataflow.batch import aggregate_table, run_batch
-from repro.experiments.params import FLOORS, OBJECTS, S2T, TI, Settings
-from repro.experiments.tables import PAPER_TABLE3, render_table
-from repro.experiments.world import build_synthetic_world
+from spark_session import start
 
 
 def rows_to_dict(agg) -> dict:
@@ -42,8 +34,12 @@ def main() -> None:
     ap.add_argument("--instances", type=int, default=100)
     ap.add_argument("--sweep", choices=["s2t", "ti", "floors", "objects"])
     args = ap.parse_args()
-    spark = SparkSession.builder.appName("table3").getOrCreate()
-    spark.sparkContext.setLogLevel("ERROR")
+    spark = start("table3")
+    # ``repro`` is importable once the session has shipped it.
+    from repro.dataflow.batch import aggregate_table, run_batch
+    from repro.experiments.params import FLOORS, OBJECTS, S2T, TI, Settings
+    from repro.experiments.tables import PAPER_TABLE3, render_table
+    from repro.experiments.world import build_synthetic_world
 
     if args.sweep:
         axis = {

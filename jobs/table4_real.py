@@ -12,24 +12,21 @@ Table 3 and the paper-vs-ours rendering.
 from __future__ import annotations
 
 import argparse
-import sys
 
-from pyspark.sql import SparkSession
-
-sys.path.insert(0, "src")
-
-from repro.dataflow.batch import aggregate_table, run_batch
-from repro.experiments.params import Settings
-from repro.experiments.tables import PAPER_TABLE4, render_table
-from repro.experiments.world import build_mall_world
+from spark_session import start
 
 
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--instances", type=int, default=100)
     args = ap.parse_args()
-    spark = SparkSession.builder.appName("table4").getOrCreate()
-    spark.sparkContext.setLogLevel("ERROR")
+    spark = start("table4")
+    # ``repro`` is importable once the session has shipped it.
+    from repro.dataflow.batch import aggregate_table, run_batch
+    from repro.experiments.params import Settings
+    from repro.experiments.tables import PAPER_TABLE4, render_table
+    from repro.experiments.world import build_mall_world
+
     settings = Settings(n_instances=args.instances)
     world = build_mall_world(settings, spark)
     agg = aggregate_table(run_batch(spark, world))

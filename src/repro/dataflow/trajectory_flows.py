@@ -14,8 +14,13 @@ consecutive locations are not topologically-connected":
    flow per report interval, corrected by the tracked-device penetration
    (the positioning system only sees objects during their tracking session).
 
-Steps 1 and 4 are pure DataFrame work; step 3 runs in ``applyInPandas``
-workers over the distinct gap pairs with the (broadcast) model.
+Steps 1 and 4 are pure DataFrame work.  Steps 2–3 run in ``mapInPandas``
+over the pairs where the window left them (one partition per core), with
+the broadcast model; each task resolves each of its distinct gap pairs
+once.  The model carries a segment table (``_Segments``) built once per
+model, and the sub-path enumeration is cut by two exact prunes (hop
+reachability and the 2× length bound), so a gap pair costs milliseconds.
+``count_door_flows_pandas`` runs the same resolution in one process.
 """
 from __future__ import annotations
 
@@ -55,67 +60,91 @@ def _partition_adjacency(model: IndoorCrowdModel) -> dict[tuple[int, int], list[
     return dict(adj)
 
 
+class _Segments:
+    """Per-model sub-path segments, built once and reused by every gap pair.
+
+    A valid sub-path steps from partition to adjacent partition; each step
+    ``(u, w)`` goes through the cheapest connecting door, and its length is
+    the distance from ``u``'s door centroid to that door to ``w``'s door
+    centroid.  ``seg`` maps each adjacent ``(u, w)`` to ``(edge, length)``;
+    ``out[u]`` lists ``(w, edge, length)`` by ascending ``w`` (the DFS
+    order) and ``pred[w]`` the partitions that step into ``w``.
+    """
+
+    def __init__(self, model: IndoorCrowdModel):
+        adj = _adjacency_cache(model)
+        xyz = model.door_xyz
+        centroid = [
+            xyz[model.partition_doors(v)].mean(axis=0)
+            for v in range(model.n_partitions)
+        ]
+        self.seg: dict[tuple[int, int], tuple[int, float]] = {}
+        for (u, w), edges in adj.items():
+            best_e, best_len = None, math.inf
+            for e in edges:
+                d = int(model.e_door[e])
+                length = float(np.linalg.norm(xyz[d] - centroid[u])) + float(
+                    np.linalg.norm(xyz[d] - centroid[w])
+                )
+                if length < best_len:
+                    best_e, best_len = e, length
+            self.seg[(u, w)] = (best_e, best_len)
+        self.out: list[list[tuple[int, int, float]]] = [
+            [] for _ in range(model.n_partitions)
+        ]
+        self.pred: list[list[int]] = [[] for _ in range(model.n_partitions)]
+        for (u, w), (e, length) in sorted(self.seg.items()):
+            self.out[u].append((w, e, length))
+            self.pred[w].append(u)
+
+
 def subpath_edge_weights(
     model: IndoorCrowdModel, v0: int, v1: int, *, max_extra_hops: int = 3
 ) -> list[tuple[int, float]]:
     """Step 3 for one gap pair: ``[(edge_id, probability-weight)]``.
 
-    Valid sub-paths are simple partition sequences from ``v0`` to ``v1``;
-    their length is the sum of segment distances through the cheapest
-    connecting doors.  Paths longer than twice the shortest are excluded;
-    the remainder get 1/length-normalized probabilities and every directed
-    edge on a path receives that path's probability.
+    Valid sub-paths are simple partition sequences from ``v0`` to ``v1`` of
+    at most ``max_extra_hops`` more hops than the fewest; their length is
+    the sum of segment lengths (``_Segments``).  Paths longer than twice the
+    shortest are excluded; the remainder get 1/length-normalized
+    probabilities and every directed edge on a path receives that path's
+    probability.
+
+    Two exact prunes keep the enumeration small: a branch is cut when its
+    next partition cannot reach ``v1`` within the hops left, or when its
+    partial length already exceeds twice the shortest length, which a
+    hop-bounded Bellman–Ford gives up front.  Segment lengths are
+    non-negative and float addition of non-negative terms is monotone, so
+    neither prune drops a path that would be kept.
     """
-    adj = _adjacency_cache(model)
-    nbrs = _neighbor_cache(model)
-    # shortest hop count via BFS (bounds the DFS depth)
-    hops = {v0: 0}
-    frontier = [v0]
-    while frontier and v1 not in hops:
-        nxt = []
-        for u in frontier:
-            for wv in nbrs[u]:
-                if wv not in hops:
-                    hops[wv] = hops[u] + 1
-                    nxt.append(wv)
-        frontier = nxt
-    if v1 not in hops:
+    segs = _segments_cache(model)
+    hops, max_hops = _hops_to(segs, v0, v1, max_extra_hops)
+    if max_hops is None:
         return []
-    max_hops = hops[v1] + max_extra_hops
+    cutoff = 2.0 * max(_shortest_length(segs, v0, v1, hops, max_hops), 1.0)
 
     paths: list[tuple[list[int], float]] = []  # (edge ids, length)
+    edges: list[int] = []
+    seen = {v0}
 
-    def seg(u: int, w: int) -> tuple[int, float]:
-        """Cheapest connecting edge and a representative segment length."""
-        best_e, best_len = None, math.inf
-        for e in adj[(u, w)]:
-            d = int(model.e_door[e])
-            length = float(
-                np.linalg.norm(model.door_xyz[d] - _centroid(model, u))
-            ) + float(np.linalg.norm(model.door_xyz[d] - _centroid(model, w)))
-            if length < best_len:
-                best_e, best_len = e, length
-        return best_e, best_len
-
-    def dfs(u: int, edges: list[int], length: float, seen: set[int]) -> None:
+    def dfs(u: int, length: float) -> None:
         if u == v1:
             paths.append((edges.copy(), max(length, 1.0)))
             return
-        if len(edges) >= max_hops:
-            return
-        for wv in nbrs[u]:
-            if wv in seen or (u, wv) not in adj:
+        room = max_hops - len(edges) - 1  # hops left after the next step
+        for w, e, slen in segs.out[u]:
+            if w in seen or hops.get(w, max_hops) > room:
                 continue
-            e, slen = seg(u, wv)
-            seen.add(wv)
+            nxt = length + slen
+            if nxt > cutoff:
+                continue
+            seen.add(w)
             edges.append(e)
-            dfs(wv, edges, length + slen, seen)
+            dfs(w, nxt)
             edges.pop()
-            seen.remove(wv)
+            seen.remove(w)
 
-    dfs(v0, [], 0.0, {v0})
-    if not paths:
-        return []
+    dfs(v0, 0.0)
     shortest = min(length for _, length in paths)
     kept = [(es, length) for es, length in paths if length <= 2.0 * shortest]
     norm = sum(1.0 / length for _, length in kept)
@@ -126,6 +155,60 @@ def subpath_edge_weights(
     return out
 
 
+def _hops_to(
+    segs: _Segments, v0: int, v1: int, max_extra_hops: int
+) -> tuple[dict[int, int], int | None]:
+    """Hop distance to ``v1`` of the partitions a sub-path can use, and its hop bound.
+
+    Breadth-first from ``v1`` over reversed steps until ``v0`` is reached
+    (the bound is then its distance + ``max_extra_hops``), then on to the
+    depth that a partition one hop past ``v0`` may have.  The bound is
+    ``None`` when ``v1`` cannot be reached from ``v0``.
+    """
+    hops = {v1: 0}
+    frontier = [v1]
+    max_hops = max_extra_hops if v0 == v1 else None
+    level = 0
+    while frontier and (max_hops is None or level < max_hops - 1):
+        level += 1
+        nxt = []
+        for w in frontier:
+            for u in segs.pred[w]:
+                if u not in hops:
+                    hops[u] = level
+                    nxt.append(u)
+        frontier = nxt
+        if max_hops is None and v0 in hops:
+            max_hops = level + max_extra_hops
+    return hops, max_hops
+
+
+def _shortest_length(
+    segs: _Segments, v0: int, v1: int, hops: dict[int, int], max_hops: int
+) -> float:
+    """Shortest ``v0 → v1`` length over at most ``max_hops`` steps (Bellman–Ford).
+
+    Round ``k`` relaxes only the partitions improved in round ``k - 1``,
+    into partitions still within ``max_hops - k`` hops of ``v1``.  This
+    minimum over walks equals the minimum over the DFS's simple paths:
+    dropping a cycle from a walk never makes its float sum longer.
+    """
+    best = {v0: 0.0}
+    frontier = {v0: 0.0}
+    for k in range(1, max_hops + 1):
+        improved: dict[int, float] = {}
+        for u, du in frontier.items():
+            for w, _, slen in segs.out[u]:
+                if hops.get(w, max_hops) > max_hops - k:
+                    continue
+                d = du + slen
+                if d < best.get(w, math.inf) and d < improved.get(w, math.inf):
+                    improved[w] = d
+        best.update(improved)
+        frontier = improved
+    return best[v1]
+
+
 def _adjacency_cache(model: IndoorCrowdModel):
     got = getattr(model, "_adj_cache", None)
     if got is None:
@@ -134,20 +217,12 @@ def _adjacency_cache(model: IndoorCrowdModel):
     return got
 
 
-def _neighbor_cache(model: IndoorCrowdModel):
-    got = getattr(model, "_nbr_cache", None)
+def _segments_cache(model: IndoorCrowdModel) -> _Segments:
+    got = getattr(model, "_seg_cache", None)
     if got is None:
-        got = [
-            sorted({int(model.e_dst[e]) for e in model.out_edges[v]})
-            for v in range(model.n_partitions)
-        ]
-        model._nbr_cache = got
+        got = _Segments(model)
+        model._seg_cache = got
     return got
-
-
-def _centroid(model: IndoorCrowdModel, v: int) -> np.ndarray:
-    doors = model.partition_doors(v)
-    return model.door_xyz[doors].mean(axis=0)
 
 
 def resolve_pairs(model: IndoorCrowdModel, pdf: pd.DataFrame) -> pd.DataFrame:
@@ -178,18 +253,27 @@ def count_door_flows(
     *,
     bucket_s: float = 10.0,
 ) -> DataFrame:
-    """Per-(edge, bucket) probabilistic flows: ``(edge, bucket, flow)``."""
-    pairs = consecutive_pairs(fixes).withColumn(
-        "bucket", F.floor(F.col("t1") / F.lit(bucket_s)).cast("long")
+    """Per-(edge, bucket) probabilistic flows: ``(edge, bucket, flow)``.
+
+    The fixes are hashed by device onto one partition per core, which is
+    the layout the pairing window needs anyway, and ``mapInPandas``
+    resolves the pairs where they sit: no second shuffle, no regroup per
+    ``v0``.  Each task memoises its gap pairs.  The model is broadcast with
+    its segment table built, so no task rebuilds it.
+    """
+    n = spark.sparkContext.defaultParallelism
+    pairs = consecutive_pairs(fixes.repartition(n, "mac")).select(
+        "v0", "v1", F.floor(F.col("t1") / F.lit(bucket_s)).cast("long").alias("bucket")
     )
+    _segments_cache(model)
     bc_model = spark.sparkContext.broadcast(model)
 
-    def resolve(pdf: pd.DataFrame) -> pd.DataFrame:
-        return resolve_pairs(bc_model.value, pdf)
+    def resolve(batches):
+        pdfs = list(batches)  # one task's pairs, so one memo covers them
+        if pdfs:
+            yield resolve_pairs(bc_model.value, pd.concat(pdfs, ignore_index=True))
 
-    per_pair = pairs.repartition(16, "v0").groupBy("v0").applyInPandas(
-        lambda pdf: resolve(pdf), schema="edge long, bucket long, flow double"
-    )
+    per_pair = pairs.mapInPandas(resolve, schema="edge long, bucket long, flow double")
     return per_pair.groupBy("edge", "bucket").agg(F.sum("flow").alias("flow"))
 
 
@@ -218,7 +302,7 @@ def count_door_flows_pandas(
 
 
 def fit_edge_lambdas(
-    flows: DataFrame,
+    flows: DataFrame | pd.DataFrame,
     model: IndoorCrowdModel,
     *,
     n_buckets: int,
@@ -226,13 +310,32 @@ def fit_edge_lambdas(
 ) -> np.ndarray:
     """λ per directed edge: mean flow per report bucket / penetration.
 
+    ``flows`` is the ``(edge, bucket, flow)`` table of either counting path:
+    a Spark DataFrame is summed per edge in Spark, a pandas one in pandas.
     ``penetration`` is the fraction of door crossings the positioning system
     observes (tracked-session coverage × per-fix retention²), a deployment
     constant of the localization system, not an oracle quantity.
     """
-    pdf = flows.groupBy("edge").agg(F.sum("flow").alias("total")).toPandas()
+    if isinstance(flows, pd.DataFrame):
+        totals = flows.groupby("edge")["flow"].sum()
+        edge, total = totals.index.to_numpy(), totals.to_numpy()
+    else:
+        pdf = flows.groupBy("edge").agg(F.sum("flow").alias("total")).toPandas()
+        edge, total = pdf["edge"].to_numpy(), pdf["total"].to_numpy()
     lam = np.zeros(model.n_edges)
-    if len(pdf):
-        lam[pdf["edge"].to_numpy()] = pdf["total"].to_numpy()
+    if len(edge):
+        lam[edge] = total
     lam /= max(n_buckets, 1) * max(penetration, 1e-9)
     return lam
+
+
+def symmetrize_per_door(model: IndoorCrowdModel, lam: np.ndarray) -> np.ndarray:
+    """Average each door's two directions; an edge without a reverse keeps its λ."""
+    p, d = model.n_partitions, model.n_doors
+    key = (model.e_src.astype(np.int64) * p + model.e_dst) * d + model.e_door
+    back = (model.e_dst.astype(np.int64) * p + model.e_src) * d + model.e_door
+    order = np.argsort(key, kind="stable")
+    pos = np.minimum(np.searchsorted(key[order], back), len(key) - 1)
+    found = key[order][pos] == back
+    rev = np.where(found, order[pos], np.arange(model.n_edges))
+    return (lam + lam[rev]) / 2.0

@@ -74,6 +74,7 @@ def build_mall_world(
         count_door_flows,
         count_door_flows_pandas,
         fit_edge_lambdas,
+        symmetrize_per_door,
     )
     from repro.space.mall import mall_space, simulate_trajectories
 
@@ -97,30 +98,16 @@ def build_mall_world(
         flows = count_door_flows(
             spark, bs.model, spark.createDataFrame(tw.fixes), bucket_s=settings.ti
         )
-        lam = fit_edge_lambdas(
-            flows, bs.model, n_buckets=horizon_ticks, penetration=penetration
-        )
     else:
-        flows_pdf = count_door_flows_pandas(bs.model, tw.fixes, bucket_s=settings.ti)
-        lam = np.zeros(bs.model.n_edges)
-        if len(flows_pdf):
-            totals = flows_pdf.groupby("edge")["flow"].sum()
-            lam[totals.index.to_numpy()] = totals.to_numpy()
-        lam /= horizon_ticks * penetration
+        flows = count_door_flows_pandas(bs.model, tw.fixes, bucket_s=settings.ti)
+    lam = fit_edge_lambdas(
+        flows, bs.model, n_buckets=horizon_ticks, penetration=penetration
+    )
     # Symmetrize each door's two directions: mall doors are bidirectional
     # with balanced traffic, and averaging the directions cancels the
     # sampling noise of the sparse fixes — otherwise the fitted flows carry
     # a spurious per-partition drift that drains/overfills rooms.
-    m = bs.model
-    rev = {}
-    by_key = {
-        (int(m.e_src[e]), int(m.e_dst[e]), int(m.e_door[e])): e
-        for e in range(m.n_edges)
-    }
-    for e in range(m.n_edges):
-        r = by_key.get((int(m.e_dst[e]), int(m.e_src[e]), int(m.e_door[e])))
-        rev[e] = r if r is not None else e
-    lam = np.array([(lam[e] + lam[rev[e]]) / 2.0 for e in range(m.n_edges)])
+    lam = symmetrize_per_door(bs.model, lam)
     bs.model.e_lam = lam
     # Gold standard: as in the paper, accuracy on real data is judged against
     # *simulated trajectories* of the constructed crowd model — we run the

@@ -1,4 +1,5 @@
 """Tests for the world builders (Table 3 / Table 4 configurations)."""
+import hashlib
 import pickle
 
 import numpy as np
@@ -75,6 +76,17 @@ def test_mall_lambda_symmetric_per_door(mini_mall):
         back = by_key.get((d, s, k))
         if back is not None:
             assert back == pytest.approx(lam)
+
+
+# SHA-256 of the mini-mall λ bytes as first computed by enumerating every
+# sub-path with per-call segment lengths; the segment table, the prunes and
+# the shared λ fit must reproduce it bit for bit.
+MINI_MALL_LAM_SHA256 = "efe410accd8c3d00fe65e31b7f6f57dfdd6b8c163aa3649985a0e468de84b560"
+
+
+def test_mall_lambda_bit_identical(mini_mall):
+    lam = np.ascontiguousarray(mini_mall.model.e_lam, dtype=np.float64)
+    assert hashlib.sha256(lam.tobytes()).hexdigest() == MINI_MALL_LAM_SHA256
 
 
 def test_mall_world_gold_consistency(mini_mall):
